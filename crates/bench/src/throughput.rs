@@ -380,11 +380,12 @@ pub fn to_json(results: &[ChannelThroughput], scaling: &[ScalingPoint]) -> Strin
 
 /// The performance floors `--check` asserts: the ROADMAP invariants
 /// (indoor staged/full ≥ 5×, outdoor incremental/staged ≥ 3×) plus the
-/// footprint-kernel floors (`ceiling_office` kernel/staged ≥ 2.5× — the
-/// wide-FoV family the kernel was built for — and kernel ≥ 1.2×
-/// incremental on every family). The kernel floors carry margin below
-/// the recorded-baseline targets (2.5× is recorded ≥ 2.5×, 1.2× is
-/// recorded ≥ 1.5×) because CI runs this on a single smoke rep.
+/// footprint-kernel floors (`ceiling_office` kernel/staged ≥ 20× — the
+/// wide-FoV family the kernel was built for — and kernel ≥ 6×
+/// incremental on every family). The prefix-sum kernel's lowest ratios
+/// over five 2-core smoke runs were 34.9× and 10.5×; the floors sit at
+/// most 60 % of those, so one smoke rep clears them even if the host
+/// changes speed between the two timed tiers.
 ///
 /// Returns every violated floor, empty when all hold — so a perf
 /// regression fails the build instead of silently eroding
@@ -402,8 +403,8 @@ pub fn check_floors(results: &[ChannelThroughput]) -> Vec<String> {
                 floor(r.speedup >= 5.0, format!("indoor_bench staged/full {:.2}x < 5x", r.speedup))
             }
             "ceiling_office" => floor(
-                r.kernel_speedup >= 2.5,
-                format!("ceiling_office kernel/staged {:.2}x < 2.5x", r.kernel_speedup),
+                r.kernel_speedup >= 20.0,
+                format!("ceiling_office kernel/staged {:.2}x < 20x", r.kernel_speedup),
             ),
             "outdoor_car" | "outdoor_car_long" => floor(
                 r.incremental_speedup >= 3.0,
@@ -413,8 +414,8 @@ pub fn check_floors(results: &[ChannelThroughput]) -> Vec<String> {
         }
         let kernel_over_incremental = r.kernel_samples_per_s / r.incremental_samples_per_s;
         floor(
-            kernel_over_incremental >= 1.2,
-            format!("{} kernel/incremental {:.2}x < 1.2x", r.scenario, kernel_over_incremental),
+            kernel_over_incremental >= 6.0,
+            format!("{} kernel/incremental {:.2}x < 6x", r.scenario, kernel_over_incremental),
         );
     }
     violations
@@ -458,7 +459,7 @@ mod tests {
         ChannelThroughput {
             scenario: "indoor_bench".into(),
             trace_samples: 1300,
-            kernel_samples_per_s: 987654.0,
+            kernel_samples_per_s: 9876543.0,
             incremental_samples_per_s: 654321.0,
             staged_samples_per_s: 123456.0,
             full_samples_per_s: 12345.0,
@@ -515,7 +516,7 @@ mod tests {
         let json = to_json(&[sample_result()], &sample_scaling());
         assert!(json.contains("\"scenario\": \"indoor_bench\""));
         assert!(json.contains("\"staged_speedup\": 10.00"));
-        assert!(json.contains("\"kernel_samples_per_s\": 987654"));
+        assert!(json.contains("\"kernel_samples_per_s\": 9876543"));
         assert!(json.contains("\"incremental_samples_per_s\": 654321"));
         assert!(json.contains("\"incremental_speedup\": 5.30"));
         assert!(json.contains("\"kernel_speedup\": 8.00"));

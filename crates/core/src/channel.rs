@@ -60,9 +60,10 @@
 //!  │   DeltaField tick: cached per-column deltas; re-integrates ONLY   │
 //!  │           the patches a surface breakpoint swept since the last   │
 //!  │           tick — O(boundary), with exact staged/full fallbacks    │
-//!  │   FootprintKernel tick: per-object per-(height, material)-bin     │
-//!  │           column-geometry tables precomputed at build; a tick is  │
-//!  │           pure lookups — no acos/powf/exp/sqrt, no surface scans  │
+//!  │   FootprintKernel tick: per-(height, material)-bin prefix rows    │
+//!  │           over the columns, precomputed at build; a tick is one   │
+//!  │           subtraction per surface piece — no acos/powf/exp/sqrt,  │
+//!  │           no surface scans, no column loop                        │
 //!  └───────────────────────────────┬───────────────────────────────────┘
 //!                                  │ E_rx(t), one sample at a time
 //!                                  ▼
@@ -591,7 +592,7 @@ impl PassiveChannel {
         // margin" proves the covered-column interval is empty.
         let margin = 2.0 * g.dx;
         let mut stats = KernelStats::default();
-        let mut pool: Vec<f64> = Vec::new();
+        let mut prefix: Vec<f64> = Vec::new();
         let mut intern: BTreeMap<[u64; 6], usize> = BTreeMap::new();
         let mut objects = Vec::with_capacity(self.objects.len());
         for obj in &self.objects {
@@ -621,6 +622,7 @@ impl PassiveChannel {
                     y_hi,
                     piece_bin: Vec::new(),
                     bin_row: Vec::new(),
+                    parked_under: Vec::new(),
                     culled: true,
                 });
                 continue;
@@ -673,8 +675,11 @@ impl PassiveChannel {
                     bin_row.push(row);
                     continue;
                 }
-                let row = pool.len() / g.steps;
-                pool.resize(pool.len() + g.steps, 0.0);
+                let row = prefix.len() / (g.steps + 1);
+                // Stored as a prefix row: entry `k` sums columns `0..k`,
+                // so any run of columns costs one subtraction per tick.
+                let mut running = 0.0;
+                prefix.push(running);
                 for ix in 0..g.steps {
                     let x = pose.x_m + g.x(ix);
                     let mut acc = 0.0;
@@ -699,7 +704,8 @@ impl PassiveChannel {
                         ) / env0
                             - field.bg[idx];
                     }
-                    pool[row * g.steps + ix] = acc;
+                    running += acc;
+                    prefix.push(running);
                 }
                 stats.tables_built += 1;
                 intern.insert(key, row);
@@ -713,10 +719,11 @@ impl PassiveChannel {
                 y_hi,
                 piece_bin,
                 bin_row,
+                parked_under: Vec::new(),
                 culled: false,
             });
         }
-        stats.table_bytes = pool.len() * std::mem::size_of::<f64>();
+        stats.table_bytes = prefix.len() * std::mem::size_of::<f64>();
 
         // --- Event-driven freezing: split the survivors into a parked
         // aggregate (one scalar, summed once at build) and a mover event
@@ -741,7 +748,7 @@ impl PassiveChannel {
                 let lead = obj.leading_edge_at(0.0);
                 let (lo, hi) = column_range(&g, lead - ok.length - pose.x_m, lead - pose.x_m);
                 if lo < hi {
-                    parked_sum += ok.table_sum(&pool, &g, pose, lead, lo, hi);
+                    parked_sum += ok.run_sum(&prefix, &g, pose, lead, lo, hi);
                     parked_cols.push((oi as u32, lo, hi));
                 }
             } else {
@@ -795,25 +802,40 @@ impl PassiveChannel {
                 }
             }
         }
-        // Column → parked objects covering it, so a mover checks the
-        // parked objects under *its own* columns instead of all of them.
-        let mut parked_by_column = vec![Vec::new(); if parked_overlap { 0 } else { g.steps }];
+        // Lane bands never change, so which parked objects a mover can
+        // collide with is settled here: each mover keeps the merged
+        // column intervals of the parked objects sharing its lane band,
+        // and a tick asks only whether its own columns meet one of them.
         if !parked_overlap {
-            for &(oi, lo, hi) in &parked_cols {
-                for col in &mut parked_by_column[lo..hi] {
-                    col.push(oi);
+            let parked: Vec<(usize, usize, f64, f64)> = parked_cols
+                .iter()
+                .map(|&(p, lo, hi)| (lo, hi, objects[p as usize].y_lo, objects[p as usize].y_hi))
+                .collect();
+            for om in objects.iter_mut().filter(|o| !o.culled && !o.stationary) {
+                let mut under: Vec<(usize, usize)> = parked
+                    .iter()
+                    .filter(|&&(_, _, y_lo, y_hi)| om.y_lo <= y_hi && y_lo <= om.y_hi)
+                    .map(|&(lo, hi, _, _)| (lo, hi))
+                    .collect();
+                under.sort_unstable();
+                let mut merged: Vec<(usize, usize)> = Vec::with_capacity(under.len());
+                for (lo, hi) in under {
+                    match merged.last_mut() {
+                        Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
+                        _ => merged.push((lo, hi)),
+                    }
                 }
+                om.parked_under = merged;
             }
         }
 
         Some(FootprintKernel {
             field,
             objects,
-            pool,
+            prefix,
             stats,
             parked_sum,
             parked_overlap,
-            parked_by_column,
             events,
             cursor: 0,
             active: Vec::new(),
@@ -1446,7 +1468,7 @@ impl DeltaField {
 }
 
 /// Per-object state of a [`FootprintKernel`]: the object's exact surface
-/// decomposition plus its bin → interned-pool-row mapping.
+/// decomposition plus its bin → interned-prefix-row mapping.
 #[derive(Debug, Clone)]
 struct ObjectKernel {
     /// Exact piecewise-static decomposition of the surface
@@ -1466,15 +1488,20 @@ struct ObjectKernel {
     /// Piece index → geometry-bin index: pieces sharing a `(material,
     /// height)` pair share one bin.
     piece_bin: Vec<usize>,
-    /// Geometry-bin index → row of the kernel's interned table pool.
-    /// Row `r` spans `pool[r * steps..(r + 1) * steps]`: entry `ix` is
-    /// column `ix`'s full unit-envelope object-minus-background delta,
-    /// had the bin's surface covered it — FoV weight (incl. the `powf`
-    /// rolloff), mirror-geometry specular lobe, path transmission, patch
+    /// Geometry-bin index → row of the kernel's interned prefix pool.
+    /// Row `r` spans `prefix[r * (steps + 1)..(r + 1) * (steps + 1)]`:
+    /// entry `k` is the sum over columns `0..k` of each column's full
+    /// unit-envelope object-minus-background delta, had the bin's surface
+    /// covered it — FoV weight (incl. the `powf` rolloff),
+    /// mirror-geometry specular lobe, path transmission, patch
     /// illuminance profile and background subtraction all baked in at
     /// build time. Identical (lane, lateral, material, height) bins map
     /// to the *same* row across objects.
     bin_row: Vec<usize>,
+    /// Movers only: the column intervals `[lo, hi)` of the parked
+    /// objects whose lane band meets this one's, merged and sorted. A
+    /// tick whose columns meet one of them is an occlusion hazard.
+    parked_under: Vec<(usize, usize)>,
     /// Proven unable to contribute at this pose (lane band covers no
     /// slice centre, or whole-trajectory reach misses the footprint):
     /// carries no tables and is skipped by every per-tick structure.
@@ -1482,15 +1509,87 @@ struct ObjectKernel {
 }
 
 impl ObjectKernel {
-    /// The object's dynamic contribution with its leading edge at
-    /// `lead`, columns `lo..hi`: one pool lookup per covered column —
-    /// local coordinate → piece (exact `partition_point`) → bin → pool
-    /// row. This loop is the entire per-tick cost of an active mover,
-    /// and the build-time cost of a parked object.
+    /// Walks columns `lo..hi` of this object with its leading edge at
+    /// `lead` as runs of one surface piece, calling `visit(start, end,
+    /// piece)` once per covered run `start..end`.
+    ///
+    /// A column's local coordinate `lead − (pose.x_m + g.x(ix))` never
+    /// increases with `ix`, so the covered columns (local in
+    /// `[0, length]`) form one block and each piece one run inside it.
+    /// A run's end is estimated arithmetically from the piece's lower cut,
+    /// then settled by [`palc_scene::PieceCursor::holds`] on that same
+    /// local expression: every column lands in exactly the piece
+    /// [`palc_scene::SurfaceProfile::piece_at`] gives it, so the kernel
+    /// agrees with a per-column walk even on a cut. Cost: O(pieces),
+    /// independent of how many columns the object covers.
     // palc_lint: hot-path
+    #[inline]
+    fn for_each_run(
+        &self,
+        g: &FootprintGrid,
+        pose: ReceiverPose,
+        lead: f64,
+        lo: usize,
+        hi: usize,
+        mut visit: impl FnMut(usize, usize, usize),
+    ) {
+        let profile = self.profile.as_ref().expect("culled objects carry no tables");
+        let local = |ix: usize| lead - (pose.x_m + g.x(ix));
+        // Column whose centre sits at local coordinate `l` is about
+        // `origin − l / dx`; rounding only costs a correction step.
+        let origin = (lead - pose.x_m + g.r_max) / g.dx + 0.5;
+        let guess = |l: f64| (origin - l / g.dx) as usize;
+        // Behind the trailing edge (local > length): not covered.
+        let mut ix = run_end(lo, hi, guess(self.length), |c| local(c) > self.length);
+        if ix >= hi {
+            return;
+        }
+        let mut at = local(ix);
+        let mut cursor = profile.cursor(at);
+        while at >= 0.0 {
+            let end = run_end(ix + 1, hi, guess(cursor.lower_cut()), |c| cursor.holds(local(c)));
+            if let Some(p) = cursor.piece() {
+                visit(ix, end, p);
+            }
+            if end >= hi {
+                return;
+            }
+            ix = end;
+            at = local(ix);
+            cursor.seek(at);
+        }
+    }
+
+    /// The object's dynamic contribution with its leading edge at `lead`,
+    /// columns `lo..hi`: per piece run, one difference of its bin's
+    /// prefix row. This is the entire per-tick cost of an active mover,
+    /// and the build-time cost of a parked object.
+    #[inline]
+    fn run_sum(
+        &self,
+        prefix: &[f64],
+        g: &FootprintGrid,
+        pose: ReceiverPose,
+        lead: f64,
+        lo: usize,
+        hi: usize,
+    ) -> f64 {
+        let width = g.steps + 1;
+        let mut sum = 0.0;
+        self.for_each_run(g, pose, lead, lo, hi, |start, end, p| {
+            let row = self.bin_row[self.piece_bin[p]] * width;
+            sum += prefix[row + end] - prefix[row + start];
+        });
+        sum
+    }
+    // palc_lint: end hot-path
+
+    /// The per-column reference [`ObjectKernel::run_sum`] replaces: one
+    /// `piece_at` and one table entry per covered column.
+    #[cfg(test)]
     fn table_sum(
         &self,
-        pool: &[f64],
+        prefix: &[f64],
         g: &FootprintGrid,
         pose: ReceiverPose,
         lead: f64,
@@ -1506,13 +1605,31 @@ impl ObjectKernel {
                 continue; // widened interval edge, not covered
             }
             if let Some(p) = profile.piece_at(local) {
-                sum += pool[self.bin_row[self.piece_bin[p]] * g.steps + ix];
+                let row = self.bin_row[self.piece_bin[p]] * (g.steps + 1);
+                sum += prefix[row + ix + 1] - prefix[row + ix];
             }
         }
         sum
     }
-    // palc_lint: end hot-path
 }
+
+/// The end of a run of columns: the first column in `from..hi` where
+/// `keep` fails, given that `keep` holds on a prefix of the range.
+/// Starts from the arithmetic estimate `guess` and steps to the exact
+/// boundary — one `keep` call either side when the estimate is right.
+// palc_lint: hot-path
+#[inline]
+fn run_end(from: usize, hi: usize, guess: usize, keep: impl Fn(usize) -> bool) -> usize {
+    let mut end = guess.clamp(from, hi);
+    while end > from && !keep(end - 1) {
+        end -= 1;
+    }
+    while end < hi && keep(end) {
+        end += 1;
+    }
+    end
+}
+// palc_lint: end hot-path
 
 /// Build-time statistics of a [`FootprintKernel`]: how much work the
 /// interning pool and the spatial index actually avoided. Surfaced by
@@ -1534,15 +1651,16 @@ pub struct KernelStats {
     /// aggregate: zero per-tick work.
     pub objects_parked: usize,
     /// Moving in-footprint objects on the entry/exit event queue: the
-    /// only objects a tick can spend per-column work on.
+    /// only objects a tick can spend per-piece work on.
     pub objects_movers: usize,
 }
 
 /// The table-driven (fourth) tier of the footprint integrator: per-tick
-/// patch evaluation as pure lookups over precomputed, contiguous
-/// per-column geometry tables — no `acos`/`cos`/`powf` (FoV weight), no
-/// `exp` (path transmission), no `sqrt` (distance), no specular mirror
-/// reflection, and no O(objects) surface scan inside the per-tick loop.
+/// evaluation as one prefix-row subtraction per surface piece over
+/// precomputed column-geometry tables — no `acos`/`cos`/`powf` (FoV
+/// weight), no `exp` (path transmission), no `sqrt` (distance), no
+/// specular mirror reflection, no O(objects) surface scan, and no loop
+/// over footprint columns inside the per-tick loop.
 ///
 /// ## Why the tables are sound
 ///
@@ -1553,15 +1671,17 @@ pub struct KernelStats {
 /// time-invariant geometry. The set of surfaces an object can present is
 /// finite and enumerable ([`palc_scene::MobileObject::surface_profile`]:
 /// one *bin* per distinct `(material, height)` pair), so `G` summed over
-/// a column's slices can be tabulated per `(object, bin, column)` at
-/// build time. A tick then reduces, per object, to: resolve the leading
-/// edge, and for each covered column look up
-/// `colgeom[bin_of(piece under the column)][column]` — the piece
-/// resolver being [`palc_scene::SurfaceProfile::piece_at`], a
-/// `partition_point` over the same floats the reference surface sampler
-/// compares, so the binning can never disagree with the channel's
-/// per-patch surface scan (`PassiveChannel::surface_at`), even exactly
-/// on a strip boundary.
+/// a column's slices can be tabulated per `(bin, column)` at build time,
+/// and is stored as a prefix row (entry `k` sums columns `0..k`). A tick
+/// then reduces, per object, to: resolve the leading edge, walk the
+/// object's pieces as runs of columns (a column's local coordinate never
+/// increases with its index, so each piece covers one run), and add
+/// `P[bin_of(piece)][end] − P[bin_of(piece)][start]` per run. Run ends
+/// are settled by [`palc_scene::PieceCursor`] with the same comparisons
+/// over the same floats as [`palc_scene::SurfaceProfile::piece_at`] —
+/// itself exact against the reference surface sampler — so the binning
+/// can never disagree with the channel's per-patch surface scan
+/// (`PassiveChannel::surface_at`), even exactly on a strip boundary.
 ///
 /// ## Exact fallbacks
 ///
@@ -1612,18 +1732,16 @@ pub struct KernelStats {
 pub struct FootprintKernel {
     field: Arc<StaticField>,
     objects: Vec<ObjectKernel>,
-    /// Interned column-geometry pool; row `r` spans
-    /// `[r * steps, (r + 1) * steps)`.
-    pool: Vec<f64>,
+    /// Interned column-geometry prefix rows; row `r` spans
+    /// `[r * (steps + 1), (r + 1) * (steps + 1)]` and its entry `k` sums
+    /// columns `0..k`.
+    prefix: Vec<f64>,
     stats: KernelStats,
     /// Build-time sum of every parked in-footprint object's table sum.
     parked_sum: f64,
     /// Two parked objects overlap in both columns and lane band: the
     /// conflict never clears, so every tick is served staged.
     parked_overlap: bool,
-    /// Column `ix` → parked objects covering it (empty when
-    /// `parked_overlap`; the per-tick path is never reached then).
-    parked_by_column: Vec<Vec<u32>>,
     /// Mover entry/exit events `(time, object, is_entry)`, time-sorted.
     events: Vec<(f64, u32, bool)>,
     /// First event not yet applied to `active`.
@@ -1638,9 +1756,9 @@ pub struct FootprintKernel {
 
 impl FootprintKernel {
     /// Noise-free illuminance at time `t` through the geometry tables:
-    /// `(static_total + parked aggregate + Σ active-mover column
-    /// lookups) × envelope(t)`, falling back to the exact staged or full
-    /// tier per tick as described on [`FootprintKernel`].
+    /// `(static_total + parked aggregate + Σ active-mover piece-run
+    /// prefix differences) × envelope(t)`, falling back to the exact
+    /// staged or full tier per tick as described on [`FootprintKernel`].
     ///
     /// `channel` must be the channel this kernel was built from (same
     /// objects, same grid).
@@ -1694,9 +1812,9 @@ impl FootprintKernel {
 
         // Overlap hazard → staged fallback, decomposed by motion class:
         // mover–mover pairwise over the (few) active movers, and
-        // mover–parked through the per-column buckets so only parked
-        // objects under a mover's own columns are consulted.
-        // Parked–parked was settled for good at build time.
+        // mover–parked by one search of the mover's merged parked
+        // intervals (empty — so O(1) — when no parked object shares its
+        // lane band). Parked–parked was settled for good at build time.
         let mut overlap = false;
         'mm: for i in 0..spans.len() {
             for j in (i + 1)..spans.len() {
@@ -1712,18 +1830,11 @@ impl FootprintKernel {
             }
         }
         if !overlap {
-            'mp: for &(oi, _, lo, hi) in &spans {
-                let om = &self.objects[oi as usize];
-                for bucket in &self.parked_by_column[lo..hi] {
-                    for &p in bucket {
-                        let op = &self.objects[p as usize];
-                        if om.y_lo <= op.y_hi && op.y_lo <= om.y_hi {
-                            overlap = true;
-                            break 'mp;
-                        }
-                    }
-                }
-            }
+            overlap = spans.iter().any(|&(oi, _, lo, hi)| {
+                let under = &self.objects[oi as usize].parked_under;
+                let k = under.partition_point(|&(_, phi)| phi <= lo);
+                k < under.len() && under[k].0 < hi
+            });
         }
         if overlap {
             self.spans = spans;
@@ -1732,7 +1843,7 @@ impl FootprintKernel {
 
         let mut dynamic = self.parked_sum;
         for &(oi, lead, lo, hi) in &spans {
-            dynamic += self.objects[oi as usize].table_sum(&self.pool, &g, pose, lead, lo, hi);
+            dynamic += self.objects[oi as usize].run_sum(&self.prefix, &g, pose, lead, lo, hi);
         }
         self.spans = spans;
         (self.field.static_total + dynamic) * env
@@ -1750,12 +1861,13 @@ impl FootprintKernel {
         self.stats
     }
 
-    /// Total precomputed table entries resident in the interned pool —
-    /// the build-time footprint the per-tick loop trades transcendentals
-    /// for. Shared rows count once; see [`FootprintKernel::stats`] for
-    /// how many requests the pool deduplicated.
+    /// Total precomputed table entries resident in the interned pool
+    /// (`steps + 1` prefix entries per row) — the build-time footprint
+    /// the per-tick loop trades transcendentals for. Shared rows count
+    /// once; see [`FootprintKernel::stats`] for how many requests the
+    /// pool deduplicated.
     pub fn table_entries(&self) -> usize {
-        self.pool.len()
+        self.prefix.len()
     }
 }
 
@@ -2754,6 +2866,151 @@ mod tests {
             stats.tables_interned >= 10 * stats.tables_built,
             "interning must dominate at fleet scale: {stats:?}"
         );
+    }
+
+    /// Leading edges that put a column centre of `g` at local coordinate
+    /// `target` exactly (`lead - (pose.x_m + g.x(ix)) == target` in
+    /// floats), one ulp either side of that lead, and the same for the
+    /// three locals one ulp around `target`.
+    fn leads_on(g: &FootprintGrid, pose: ReceiverPose, ix: usize, target: f64) -> Vec<f64> {
+        let x = pose.x_m + g.x(ix);
+        let mut leads = Vec::new();
+        for local in [target.next_down(), target, target.next_up()] {
+            let mut lead = local + x;
+            for _ in 0..8 {
+                match (lead - x).partial_cmp(&local) {
+                    Some(std::cmp::Ordering::Less) => lead = lead.next_up(),
+                    Some(std::cmp::Ordering::Greater) => lead = lead.next_down(),
+                    _ => break,
+                }
+            }
+            leads.extend([lead.next_down(), lead, lead.next_up()]);
+        }
+        leads
+    }
+
+    /// The run walk resolves every column to the piece the per-column
+    /// `piece_at` reference gives it — with column centres exactly on
+    /// every cut, tag edge and piece boundary, and one ulp either side —
+    /// and its prefix-row sum matches the per-column reference sum.
+    #[test]
+    fn run_walk_matches_piece_at_on_every_column() {
+        use palc_scene::car::CarSegment;
+        let roof_tag = Tag::from_packet(&packet("00"), 0.10);
+        let (paint, glass) = (Material::car_paint(), Material::windshield_glass());
+        // A roof 0.5 nm shorter than its tag (inside the 1 nm slack the
+        // car constructor allows), last on the body: the centred tag's
+        // first strip straddles the windshield cut and its last strip
+        // overhangs the body's end, so the (strip, windshield) piece and
+        // the overhang sentinel are both reachable.
+        let flush = CarModel::new(
+            "flush roof",
+            vec![
+                CarSegment { name: "hood", length_m: 0.95, material: paint, height_m: 0.90 },
+                CarSegment { name: "windshield", length_m: 0.75, material: glass, height_m: 1.15 },
+                CarSegment {
+                    name: "roof",
+                    length_m: roof_tag.length_m() - 5e-10,
+                    material: paint,
+                    height_m: 1.42,
+                },
+            ],
+        );
+        let mut flush_sc =
+            Scenario::outdoor_car(CarModel::volvo_v40(), None, 0.75, Sun::cloudy_noon(1));
+        flush_sc.channel_mut().objects =
+            vec![MobileObject::car(flush, Some(roof_tag), Trajectory::car_18kmh())];
+        // Columns wider than the 3 cm strips: a seek steps over whole
+        // strips, so its own comparisons decide boundary columns.
+        let mut coarse = Scenario::indoor_bench(packet("10"), 0.03, 0.20);
+        coarse.channel_mut().resolution.along_m = 0.045;
+        let scenes = [
+            ("indoor strip tag", Scenario::indoor_bench(packet("10"), 0.03, 0.20)),
+            ("indoor strip tag, coarse grid", coarse),
+            (
+                "V40 roof tag",
+                Scenario::outdoor_car(
+                    CarModel::volvo_v40(),
+                    Some(packet("00")),
+                    0.75,
+                    Sun::cloudy_noon(1),
+                ),
+            ),
+            ("flush roof tag", flush_sc),
+            (
+                "BMW untagged",
+                Scenario::outdoor_car(CarModel::bmw_3(), None, 0.75, Sun::cloudy_noon(2)),
+            ),
+        ];
+        // Roof-tag heights of the straddling and sentinel pieces: the
+        // windshield's and the no-segment fallback's, plus the tag lift.
+        let (straddle_h, sentinel_h) = (1.15 + 0.002, 1.4 + 0.002);
+        let (mut straddle_hit, mut sentinel_hit) = (false, false);
+        for (label, sc) in &scenes {
+            let ch = sc.channel();
+            let field = Arc::new(ch.static_field().expect("separable"));
+            let kernel = ch.footprint_kernel(field.clone()).expect("kernel");
+            let (g, pose) = (field.grid, field.pose);
+            let ok = &kernel.objects[0];
+            let profile = ok.profile.as_ref().expect("in reach");
+            let obj = &ch.objects[0];
+            let mut targets = obj.profile_breakpoints().expect("piecewise-static");
+            for piece in profile.pieces() {
+                targets.extend([piece.start_m, piece.end_m]);
+            }
+            let mut checked = 0;
+            for &target in &targets {
+                for ix in [g.steps / 3, g.steps / 2] {
+                    for lead in leads_on(&g, pose, ix, target) {
+                        let (lo, hi) =
+                            column_range(&g, lead - ok.length - pose.x_m, lead - pose.x_m);
+                        if lo >= hi {
+                            continue;
+                        }
+                        let mut walked = vec![None; hi - lo];
+                        let mut last_end = lo;
+                        ok.for_each_run(&g, pose, lead, lo, hi, |start, end, p| {
+                            assert!(last_end <= start && start < end && end <= hi, "{label}");
+                            last_end = end;
+                            walked[start - lo..end - lo].fill(Some(p));
+                        });
+                        let mut mass = 0.0;
+                        for (c, got) in (lo..hi).zip(&walked) {
+                            let local = lead - (pose.x_m + g.x(c));
+                            let expect = if (0.0..=ok.length).contains(&local) {
+                                profile.piece_at(local)
+                            } else {
+                                None
+                            };
+                            assert_eq!(
+                                *got, expect,
+                                "{label}: lead {lead} column {c} local {local}"
+                            );
+                            if let Some(p) = expect {
+                                let row = ok.bin_row[ok.piece_bin[p]] * (g.steps + 1);
+                                mass += (kernel.prefix[row + c + 1] - kernel.prefix[row + c]).abs();
+                                let surface = profile.pieces()[p].surface;
+                                straddle_hit |= surface.height_m == straddle_h;
+                                sentinel_hit |= surface.height_m == sentinel_h;
+                            }
+                        }
+                        let walk = ok.run_sum(&kernel.prefix, &g, pose, lead, lo, hi);
+                        let reference = ok.table_sum(&kernel.prefix, &g, pose, lead, lo, hi);
+                        assert!(
+                            (walk - reference).abs() <= 1e-12 * mass.max(reference.abs()),
+                            "{label}: lead {lead}: walk {walk} vs per-column {reference}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+            assert!(checked > targets.len(), "{label}: too few leads placed ({checked})");
+        }
+        assert!(
+            straddle_hit,
+            "some column must resolve to the straddling (strip, windshield) piece"
+        );
+        assert!(sentinel_hit, "some column must resolve to the overhang sentinel piece");
     }
 
     #[test]

@@ -31,6 +31,6 @@ pub mod trajectory;
 
 pub use car::CarModel;
 pub use environment::{Environment, Fog};
-pub use object::{MobileObject, ProfilePiece, SurfaceProfile, SurfaceSample};
+pub use object::{MobileObject, PieceCursor, ProfilePiece, SurfaceProfile, SurfaceSample};
 pub use tag::{LcdShutterTag, Tag};
 pub use trajectory::Trajectory;

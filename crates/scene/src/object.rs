@@ -548,6 +548,144 @@ impl SurfaceProfile {
         }
     }
     // palc_lint: end hot-path
+
+    /// A [`PieceCursor`] positioned at `local`: its
+    /// [`PieceCursor::piece`] equals [`SurfaceProfile::piece_at`]`(local)`,
+    /// and it can then walk any non-increasing sequence of local
+    /// coordinates.
+    pub fn cursor(&self, local: f64) -> PieceCursor<'_> {
+        let (cuts, tag) = match &self.kind {
+            PieceResolver::Strips { cuts } => (cuts, None),
+            PieceResolver::Car { seg_cuts, tag } => (seg_cuts, tag.as_ref()),
+        };
+        let tag_cut = tag.and_then(|tp| {
+            let shifted = local - tp.start_m;
+            (shifted >= 0.0).then(|| tp.cuts.partition_point(|c| *c <= shifted))
+        });
+        PieceCursor {
+            cuts,
+            tag,
+            on: local >= 0.0,
+            cut: cuts.partition_point(|c| *c <= local),
+            tag_cut,
+        }
+    }
+}
+
+/// A monotone walk over a [`SurfaceProfile`]: resolves a non-increasing
+/// sequence of local coordinates to pieces by stepping its strip,
+/// segment and tag indices *down* instead of binary-searching each
+/// query.
+///
+/// The channel's footprint kernel visits a mover's columns in ascending
+/// world x — descending local coordinate — so one walk over any number
+/// of columns costs O(pieces) index steps. Between steps the kernel asks
+/// [`PieceCursor::holds`] whether a column still resolves to the current
+/// piece, and [`PieceCursor::lower_cut`] where that run is expected to
+/// end.
+///
+/// Exactness contract (tested): for every non-increasing sequence of
+/// non-NaN queries, the cursor's state after
+/// [`PieceCursor::seek`]`(local)` is the state
+/// [`SurfaceProfile::piece_at`]`(local)` computes — the same `<=`
+/// comparisons over the same accumulated floats, with the tag queried in
+/// tag-local coordinates exactly as `piece_at` does — so a column exactly
+/// on a cut resolves to the same piece either way.
+#[derive(Debug, Clone, Copy)]
+pub struct PieceCursor<'a> {
+    /// Body cuts: a tag's strip cuts, or a car's segment cuts.
+    cuts: &'a [f64],
+    /// A car's roof-tag overlay, consulted before the body.
+    tag: Option<&'a TagOverlay>,
+    /// The position is at or past the leading edge (`local >= 0`).
+    on: bool,
+    /// Count of body cuts `<=` the position.
+    cut: usize,
+    /// Count of tag cuts `<=` the position in tag-local coordinates, or
+    /// `None` before the tag's leading edge (and without a tag).
+    tag_cut: Option<usize>,
+}
+
+impl PieceCursor<'_> {
+    // palc_lint: hot-path
+    /// The piece under the current position, or `None` where the object
+    /// presents no surface — exactly [`SurfaceProfile::piece_at`].
+    #[inline]
+    pub fn piece(&self) -> Option<usize> {
+        if !self.on {
+            return None;
+        }
+        if let (Some(tp), Some(j)) = (self.tag, self.tag_cut) {
+            if j < tp.cuts.len() {
+                let s = self.cut.min(tp.n_seg);
+                let idx = tp.piece_of[j * (tp.n_seg + 1) + s];
+                debug_assert_ne!(
+                    idx,
+                    usize::MAX,
+                    "roof-tag piece enumeration missed (strip {j}, segment {s})"
+                );
+                return (idx != usize::MAX).then_some(idx);
+            }
+        }
+        (self.cut < self.cuts.len()).then_some(self.cut)
+    }
+
+    /// Whether `local` — no greater than the current position — still
+    /// resolves to the current piece: it is not negative and every cut
+    /// below the position is still `<=` it (`c > local` is the exact
+    /// complement of `piece_at`'s `c <= local` on the finite coordinates
+    /// a walk visits). Monotone in `local`, so the columns of one run
+    /// form a contiguous block.
+    #[inline]
+    pub fn holds(&self, local: f64) -> bool {
+        if local < 0.0 || (self.cut > 0 && self.cuts[self.cut - 1] > local) {
+            return false;
+        }
+        match (self.tag, self.tag_cut) {
+            (Some(tp), Some(j)) => {
+                let shifted = local - tp.start_m;
+                shifted >= 0.0 && (j == 0 || tp.cuts[j - 1] <= shifted)
+            }
+            _ => true,
+        }
+    }
+
+    /// The local coordinate below which the current piece is expected to
+    /// end: the highest cut under the position, in object-local units.
+    /// An estimate only (the tag's cut is rounded through its offset);
+    /// [`PieceCursor::holds`] is the exact test.
+    #[inline]
+    pub fn lower_cut(&self) -> f64 {
+        let body = if self.cut > 0 { self.cuts[self.cut - 1] } else { 0.0 };
+        match (self.tag, self.tag_cut) {
+            (Some(tp), Some(j)) => {
+                let tag = tp.start_m + if j > 0 { tp.cuts[j - 1] } else { 0.0 };
+                body.max(tag)
+            }
+            _ => body,
+        }
+    }
+
+    /// Moves the position down to `local`, which must not exceed the
+    /// current position: each index steps down past the cuts `local` has
+    /// fallen below.
+    #[inline]
+    pub fn seek(&mut self, local: f64) {
+        self.on = local >= 0.0;
+        while self.cut > 0 && self.cuts[self.cut - 1] > local {
+            self.cut -= 1;
+        }
+        if let (Some(tp), Some(mut j)) = (self.tag, self.tag_cut) {
+            let shifted = local - tp.start_m;
+            self.tag_cut = (shifted >= 0.0).then(|| {
+                while j > 0 && tp.cuts[j - 1] > shifted {
+                    j -= 1;
+                }
+                j
+            });
+        }
+    }
+    // palc_lint: end hot-path
 }
 
 #[cfg(test)]
@@ -834,6 +972,16 @@ mod tests {
                 let expect = obj.sample_at(world, 0.0);
                 let got = profile_surface(&profile, local);
                 assert_eq!(got, expect, "{obj:?} local {local}");
+            }
+            // A cursor walked down the same probes resolves each one as
+            // piece_at does (the `0 - ulp` probe above wraps to NaN, which
+            // no column coordinate can be).
+            locals.retain(|l| !l.is_nan());
+            locals.sort_unstable_by(|a, b| b.total_cmp(a));
+            let mut cursor = profile.cursor(locals[0]);
+            for &local in &locals {
+                cursor.seek(local);
+                assert_eq!(cursor.piece(), profile.piece_at(local), "{obj:?} cursor at {local}");
             }
         }
     }
