@@ -102,7 +102,7 @@ use palc_optics::{LightSource, Vec3};
 use palc_phy::Packet;
 use palc_scene::{CarModel, Environment, MobileObject, Tag, Trajectory};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A receiver's position in the scene: lateral offset from the world
 /// origin plus aperture height. Every geometry query of the channel —
@@ -580,6 +580,13 @@ impl PassiveChannel {
     /// configuration; the kernel is valid for exactly as long as the
     /// field itself *and* the object list it was built from.
     pub fn footprint_kernel(&self, field: Arc<StaticField>) -> Option<FootprintKernel> {
+        self.kernel_tables(field).map(|tables| FootprintKernel::new(Arc::new(tables)))
+    }
+
+    /// The immutable half of [`PassiveChannel::footprint_kernel`]: every
+    /// table the build produces, ready to be shared by any number of
+    /// samplers at the field's pose.
+    fn kernel_tables(&self, field: Arc<StaticField>) -> Option<KernelTables> {
         // Same envelope policy the per-tick paths apply: a source whose
         // t=0 envelope the tiers would refuse cannot seed the tables.
         let env0 = envelope_or_fallback(self, 0.0).ok()?;
@@ -829,19 +836,7 @@ impl PassiveChannel {
             }
         }
 
-        Some(FootprintKernel {
-            field,
-            objects,
-            prefix,
-            stats,
-            parked_sum,
-            parked_overlap,
-            events,
-            cursor: 0,
-            active: Vec::new(),
-            last_t: f64::NEG_INFINITY,
-            spans: Vec::new(),
-        })
+        Some(KernelTables { field, objects, prefix, stats, parked_sum, parked_overlap, events })
     }
 
     /// Noise-free illuminance at time `t`, staged through `field` when one
@@ -962,23 +957,11 @@ impl PassiveChannel {
 
     /// A streaming sampler over this channel: per-tick staged illuminance
     /// through a stateful frontend, as an `Iterator<Item = f64>` of RSS
-    /// codes. Precomputes the static field once (when the source permits).
+    /// codes, at the channel's own pose. Builds the static field and the
+    /// tier tables afresh (when the source permits); [`Scenario::sampler`]
+    /// reuses its cached ones instead.
     pub fn sampler(&self, duration_s: f64, seed: u64) -> ChannelSampler<'_> {
-        self.sampler_with_field(duration_s, seed, self.static_field().map(Arc::new))
-    }
-
-    /// Like [`PassiveChannel::sampler`] with a pre-built static field
-    /// (e.g. [`Scenario`]'s cache), avoiding the per-run precomputation.
-    /// The sampler runs at the field's pose (the channel's own origin
-    /// pose when no field is available).
-    pub fn sampler_with_field(
-        &self,
-        duration_s: f64,
-        seed: u64,
-        field: Option<Arc<StaticField>>,
-    ) -> ChannelSampler<'_> {
-        let pose = field.as_ref().map(|f| f.pose()).unwrap_or_else(|| self.pose());
-        self.sampler_pose_field(duration_s, seed, pose, field)
+        self.sampler_at_pose(duration_s, seed, self.pose())
     }
 
     /// A streaming sampler for a receiver at an explicit
@@ -986,27 +969,30 @@ impl PassiveChannel {
     /// (plus the incremental [`DeltaField`] and the pose-relative
     /// [`FootprintKernel`] geometry tables, when the scene permits) over
     /// the shared scene objects — the per-shard state a receiver-array
-    /// worker owns.
+    /// worker owns. Nothing is cached: the channel's fields are public,
+    /// so no cache here could learn that they changed. [`Scenario`]'s
+    /// runs share one build per pose instead.
     pub fn sampler_at_pose(
         &self,
         duration_s: f64,
         seed: u64,
         pose: ReceiverPose,
     ) -> ChannelSampler<'_> {
-        self.sampler_pose_field(duration_s, seed, pose, self.static_field_at(pose).map(Arc::new))
+        let build = PoseBuild::new(self, self.static_field_at(pose).map(Arc::new));
+        self.sampler_from(duration_s, seed, pose, &build)
     }
 
-    /// The one sampler constructor: explicit pose, optional pre-built
-    /// field (which must have been built at that same pose).
-    fn sampler_pose_field(
+    /// The one sampler constructor: explicit pose, the static field and
+    /// kernel tables built for that same pose, fresh per-sampler state.
+    fn sampler_from(
         &self,
         duration_s: f64,
         seed: u64,
         pose: ReceiverPose,
-        field: Option<Arc<StaticField>>,
+        build: &PoseBuild,
     ) -> ChannelSampler<'_> {
         debug_assert!(
-            field.as_ref().is_none_or(|f| f.pose() == pose),
+            build.field.as_ref().is_none_or(|f| f.pose() == pose),
             "static field built for a different pose"
         );
         // Same frontend configuration (incl. any calibrated gain), fresh
@@ -1015,14 +1001,14 @@ impl PassiveChannel {
         fe.amplifier = self.frontend.amplifier;
         let state = fe.streamer(self.source.spectrum());
         let fs = self.frontend.sample_rate_hz();
+        let field = build.field.clone();
         let delta = field.clone().and_then(|f| self.delta_field(f));
-        let kernel = field.clone().and_then(|f| self.footprint_kernel(f));
         ChannelSampler {
             channel: self,
             pose,
             field,
             delta,
-            kernel,
+            kernel: build.kernel(),
             state,
             fs,
             i: 0,
@@ -1702,6 +1688,17 @@ pub struct KernelStats {
 /// mover list — both reset deterministically when time runs backwards —
 /// so fallback ticks need no pinning.
 ///
+/// ## Shared tables, private walk state
+///
+/// Everything the build produces is immutable and lives behind one
+/// `Arc` (`KernelTables`: the static field, per-object decompositions,
+/// the interned prefix pool, the parked aggregate and the event queue).
+/// A kernel adds only its own walk state — event cursor, active movers,
+/// last tick time, span scratch. Cloning a kernel, or building one from
+/// a [`Scenario`]'s per-pose cache, shares the tables by refcount and
+/// costs no footprint sweep; two kernels over the same tables tick
+/// independently and give identical values.
+///
 /// ## Scaling layer
 ///
 /// Three build-time structures make per-tick cost track the objects
@@ -1730,6 +1727,22 @@ pub struct KernelStats {
 /// `tests/properties.rs`, and a bench-side guard per scenario family.
 #[derive(Debug, Clone)]
 pub struct FootprintKernel {
+    /// The build's immutable output, shared by every kernel at this pose.
+    tables: Arc<KernelTables>,
+    /// First event not yet applied to `active`.
+    cursor: usize,
+    /// Movers currently inside the footprint window.
+    active: Vec<u32>,
+    /// Last tick time, to detect non-monotone sampling and rewind.
+    last_t: f64,
+    /// Scratch: per-tick `(object, lead, lo, hi)` of active movers.
+    spans: Vec<(u32, f64, usize, usize)>,
+}
+
+/// The immutable output of a [`FootprintKernel`] build at one pose: valid
+/// for as long as the static field and the object list it was built from.
+#[derive(Debug)]
+struct KernelTables {
     field: Arc<StaticField>,
     objects: Vec<ObjectKernel>,
     /// Interned column-geometry prefix rows; row `r` spans
@@ -1744,17 +1757,20 @@ pub struct FootprintKernel {
     parked_overlap: bool,
     /// Mover entry/exit events `(time, object, is_entry)`, time-sorted.
     events: Vec<(f64, u32, bool)>,
-    /// First event not yet applied to `active`.
-    cursor: usize,
-    /// Movers currently inside the footprint window.
-    active: Vec<u32>,
-    /// Last tick time, to detect non-monotone sampling and rewind.
-    last_t: f64,
-    /// Scratch: per-tick `(object, lead, lo, hi)` of active movers.
-    spans: Vec<(u32, f64, usize, usize)>,
 }
 
 impl FootprintKernel {
+    /// A kernel over `tables` with fresh walk state.
+    fn new(tables: Arc<KernelTables>) -> Self {
+        FootprintKernel {
+            tables,
+            cursor: 0,
+            active: Vec::new(),
+            last_t: f64::NEG_INFINITY,
+            spans: Vec::new(),
+        }
+    }
+
     /// Noise-free illuminance at time `t` through the geometry tables:
     /// `(static_total + parked aggregate + Σ active-mover piece-run
     /// prefix differences) × envelope(t)`, falling back to the exact
@@ -1764,21 +1780,22 @@ impl FootprintKernel {
     /// objects, same grid).
     // palc_lint: hot-path
     pub fn illuminance(&mut self, channel: &PassiveChannel, t: f64) -> f64 {
+        let tb = &*self.tables;
         debug_assert_eq!(
-            self.objects.len(),
+            tb.objects.len(),
             channel.objects.len(),
             "footprint kernel built for a different scene"
         );
         let env = match envelope_or_fallback(channel, t) {
             Ok(env) => env,
-            Err(EnvelopeFallback::Full) => return channel.illuminance_at_pose(self.field.pose, t),
-            Err(EnvelopeFallback::Staged) => return channel.illuminance_staged(&self.field, t),
+            Err(EnvelopeFallback::Full) => return channel.illuminance_at_pose(tb.field.pose, t),
+            Err(EnvelopeFallback::Staged) => return channel.illuminance_staged(&tb.field, t),
         };
-        if self.parked_overlap {
-            return channel.illuminance_staged(&self.field, t);
+        if tb.parked_overlap {
+            return channel.illuminance_staged(&tb.field, t);
         }
-        let g = self.field.grid;
-        let pose = self.field.pose;
+        let g = tb.field.grid;
+        let pose = tb.field.pose;
 
         // Event cursor: samplers tick monotonically, so this is O(events
         // crossed since the last tick), amortised O(1). A rewind (golden
@@ -1788,8 +1805,8 @@ impl FootprintKernel {
             self.active.clear();
         }
         self.last_t = t;
-        while self.cursor < self.events.len() && self.events[self.cursor].0 <= t {
-            let (_, oi, entry) = self.events[self.cursor];
+        while self.cursor < tb.events.len() && tb.events[self.cursor].0 <= t {
+            let (_, oi, entry) = tb.events[self.cursor];
             self.cursor += 1;
             if entry {
                 self.active.push(oi);
@@ -1802,7 +1819,7 @@ impl FootprintKernel {
         let mut spans = std::mem::take(&mut self.spans);
         spans.clear();
         for &oi in &self.active {
-            let ok = &self.objects[oi as usize];
+            let ok = &tb.objects[oi as usize];
             let lead = channel.objects[oi as usize].leading_edge_at(t);
             let (lo, hi) = column_range(&g, lead - ok.length - pose.x_m, lead - pose.x_m);
             if lo < hi {
@@ -1821,7 +1838,7 @@ impl FootprintKernel {
                 let (a, _, alo, ahi) = spans[i];
                 let (b, _, blo, bhi) = spans[j];
                 if alo < bhi && blo < ahi {
-                    let (oa, ob) = (&self.objects[a as usize], &self.objects[b as usize]);
+                    let (oa, ob) = (&tb.objects[a as usize], &tb.objects[b as usize]);
                     if oa.y_lo <= ob.y_hi && ob.y_lo <= oa.y_hi {
                         overlap = true;
                         break 'mm;
@@ -1831,34 +1848,34 @@ impl FootprintKernel {
         }
         if !overlap {
             overlap = spans.iter().any(|&(oi, _, lo, hi)| {
-                let under = &self.objects[oi as usize].parked_under;
+                let under = &tb.objects[oi as usize].parked_under;
                 let k = under.partition_point(|&(_, phi)| phi <= lo);
                 k < under.len() && under[k].0 < hi
             });
         }
         if overlap {
             self.spans = spans;
-            return channel.illuminance_staged(&self.field, t);
+            return channel.illuminance_staged(&tb.field, t);
         }
 
-        let mut dynamic = self.parked_sum;
+        let mut dynamic = tb.parked_sum;
         for &(oi, lead, lo, hi) in &spans {
-            dynamic += self.objects[oi as usize].run_sum(&self.prefix, &g, pose, lead, lo, hi);
+            dynamic += tb.objects[oi as usize].run_sum(&tb.prefix, &g, pose, lead, lo, hi);
         }
         self.spans = spans;
-        (self.field.static_total + dynamic) * env
+        (tb.field.static_total + dynamic) * env
     }
     // palc_lint: end hot-path
 
     /// The static field these tables layer on.
     pub fn static_field(&self) -> &StaticField {
-        &self.field
+        &self.tables.field
     }
 
     /// Build-time statistics: tables built vs interned, pool bytes, and
     /// the culled/parked/mover split of the scene's objects.
     pub fn stats(&self) -> KernelStats {
-        self.stats
+        self.tables.stats
     }
 
     /// Total precomputed table entries resident in the interned pool
@@ -1867,7 +1884,7 @@ impl FootprintKernel {
     /// once; see [`FootprintKernel::stats`] for how many requests the
     /// pool deduplicated.
     pub fn table_entries(&self) -> usize {
-        self.prefix.len()
+        self.tables.prefix.len()
     }
 }
 
@@ -1986,20 +2003,95 @@ impl Iterator for ChannelSampler<'_> {
 
 impl ExactSizeIterator for ChannelSampler<'_> {}
 
-/// Cached static field inside a [`Scenario`]: distinguishes "computed
-/// (possibly unavailable for this source)" from "stale after a caller
-/// mutated the channel".
+/// One receiver pose's build: its static field and the kernel tables over
+/// that field. Every sampler at the pose shares both by refcount and adds
+/// only its own walk and frontend state.
 #[derive(Debug, Clone)]
-enum FieldCache {
-    Computed(Option<Arc<StaticField>>),
-    Stale,
+struct PoseBuild {
+    field: Option<Arc<StaticField>>,
+    tables: Option<Arc<KernelTables>>,
+}
+
+impl PoseBuild {
+    /// Builds the kernel tables over `field` (built at the pose wanted).
+    fn new(channel: &PassiveChannel, field: Option<Arc<StaticField>>) -> Self {
+        let tables = field.clone().and_then(|f| channel.kernel_tables(f)).map(Arc::new);
+        PoseBuild { field, tables }
+    }
+
+    /// A kernel with fresh walk state over the shared tables.
+    fn kernel(&self) -> Option<FootprintKernel> {
+        self.tables.clone().map(FootprintKernel::new)
+    }
+}
+
+/// Receiver poses a [`Scenario`] keeps builds for. An array deployment
+/// has a handful of fixed poses; a caller sweeping more poses than this
+/// through one scenario evicts the oldest entry first, so memory stays
+/// bounded and only the evicted pose pays its build again.
+const POSE_CACHE_POSES: usize = 64;
+
+/// A cache entry: each half is built once, on first use, by whichever
+/// thread asks first (a concurrent asker waits for that build).
+#[derive(Debug, Default)]
+struct PoseSlot {
+    field: OnceLock<Option<Arc<StaticField>>>,
+    tables: OnceLock<Option<Arc<KernelTables>>>,
+}
+
+impl PoseSlot {
+    fn field(&self, channel: &PassiveChannel, pose: ReceiverPose) -> Option<Arc<StaticField>> {
+        self.field.get_or_init(|| channel.static_field_at(pose).map(Arc::new)).clone()
+    }
+
+    fn build(&self, channel: &PassiveChannel, pose: ReceiverPose) -> PoseBuild {
+        let field = self.field(channel, pose);
+        let tables = self.tables.get_or_init(|| PoseBuild::new(channel, field.clone()).tables);
+        PoseBuild { tables: tables.clone(), field }
+    }
+}
+
+/// A [`Scenario`]'s per-pose build cache, keyed by the pose's bits.
+#[derive(Debug, Default)]
+struct PoseCache {
+    /// Entry per pose, with the insertion number eviction orders by.
+    slots: BTreeMap<[u64; 3], (u64, Arc<PoseSlot>)>,
+    inserted: u64,
+}
+
+impl PoseCache {
+    /// The entry for `pose`, inserted empty when absent. At the bound the
+    /// oldest insertion is evicted first, so which entry goes depends
+    /// only on the order poses were first asked for.
+    fn slot(&mut self, pose: ReceiverPose) -> Arc<PoseSlot> {
+        let key = [pose.x_m.to_bits(), pose.y_m.to_bits(), pose.z_m.to_bits()];
+        if let Some((_, slot)) = self.slots.get(&key) {
+            return slot.clone();
+        }
+        if self.slots.len() >= POSE_CACHE_POSES {
+            let oldest = self.slots.iter().min_by_key(|(_, (n, _))| *n).map(|(k, _)| *k);
+            if let Some(k) = oldest {
+                self.slots.remove(&k);
+            }
+        }
+        let slot = Arc::new(PoseSlot::default());
+        self.slots.insert(key, (self.inserted, slot.clone()));
+        self.inserted += 1;
+        slot
+    }
 }
 
 /// Ready-made experimental setups matching the paper's sections.
+///
+/// A scenario owns its channel, so it knows when the channel changes:
+/// every run reuses one build per receiver pose (the pose's static field
+/// and kernel tables), made on the first run at that pose and dropped by
+/// [`Scenario::channel_mut`]. A fixed receiver decoding pass after pass
+/// pays its build once.
 pub struct Scenario {
     channel: PassiveChannel,
     duration_s: f64,
-    field: FieldCache,
+    poses: Mutex<PoseCache>,
 }
 
 impl Scenario {
@@ -2009,19 +2101,19 @@ impl Scenario {
     /// ADC window (the OpenVLC driver's gain-control step). Optical
     /// saturation happens *before* this gain and is unaffected.
     pub fn custom(channel: PassiveChannel, duration_s: f64) -> Self {
-        let mut scenario = Scenario { channel, duration_s, field: FieldCache::Stale };
+        let mut scenario = Scenario { channel, duration_s, poses: Mutex::default() };
         scenario.calibrate_gain();
         scenario
     }
 
     /// Re-runs gain calibration (call after swapping receiver or scene).
-    /// Also refreshes the scenario's cached static field, since both the
-    /// calibration probes and every subsequent run reuse it.
+    /// The probes run on the origin pose's cached static field, which
+    /// every later run at that pose reuses; the gain itself enters no
+    /// cached build.
     pub fn calibrate_gain(&mut self) {
-        let field = self.channel.static_field();
+        let field = self.slot(self.channel.pose()).field(&self.channel, self.channel.pose());
         let peak_lux =
-            self.channel.peak_illuminance_with_field(field.as_ref(), self.duration_s, 96);
-        self.field = FieldCache::Computed(field.map(Arc::new));
+            self.channel.peak_illuminance_with_field(field.as_deref(), self.duration_s, 96);
         let peak_out = self.channel.frontend.receiver.respond(peak_lux);
         if peak_out > 1e-9 {
             let rail = self.channel.frontend.amplifier.rail_high_v;
@@ -2315,7 +2407,7 @@ impl Scenario {
     /// Swaps the receiver (keeping its sampling rate), e.g. to run the
     /// Fig. 16 PD-with-cap variants. Re-runs gain calibration.
     pub fn with_receiver(mut self, receiver: OpticalReceiver) -> Self {
-        self.channel.frontend.receiver = receiver;
+        self.channel_mut().frontend.receiver = receiver;
         self.channel.frontend.amplifier = palc_frontend::Lm358::openvlc();
         self.calibrate_gain();
         self
@@ -2324,7 +2416,7 @@ impl Scenario {
     /// Replaces the environment (e.g. to add fog). Re-runs gain
     /// calibration.
     pub fn with_environment(mut self, environment: Environment) -> Self {
-        self.channel.environment = environment;
+        self.channel_mut().environment = environment;
         self.channel.frontend.amplifier = palc_frontend::Lm358::openvlc();
         self.calibrate_gain();
         self
@@ -2336,11 +2428,12 @@ impl Scenario {
     }
 
     /// Mutable access (advanced setups: extra objects, custom resolution).
-    /// Marks the cached static field stale: every subsequent run
-    /// recomputes it until [`Scenario::calibrate_gain`] refreshes the
-    /// cache (which the `with_*` builders do automatically).
+    /// Drops every cached pose build, so the next run at each pose builds
+    /// its static field and kernel tables from the changed channel. Call
+    /// [`Scenario::calibrate_gain`] afterwards if the change should move
+    /// the gain too (the `with_*` builders do).
     pub fn channel_mut(&mut self) -> &mut PassiveChannel {
-        self.field = FieldCache::Stale;
+        *self.poses.get_mut().unwrap_or_else(PoisonError::into_inner) = PoseCache::default();
         &mut self.channel
     }
 
@@ -2349,24 +2442,33 @@ impl Scenario {
         self.duration_s
     }
 
-    /// The scenario's static field: the cache when fresh, recomputed when
-    /// a caller took [`Scenario::channel_mut`] since the last calibration.
-    fn current_field(&self) -> Option<Arc<StaticField>> {
-        match &self.field {
-            // Cheap: shares the cached field by refcount.
-            FieldCache::Computed(f) => f.clone(),
-            // Stale (a caller took channel_mut without recalibrating):
-            // recomputed per run until calibrate_gain refreshes the cache.
-            FieldCache::Stale => self.channel.static_field().map(Arc::new),
-        }
+    /// The cache entry for `pose`. The map lock is held only to find or
+    /// insert the entry; builds run outside it, so shards at different
+    /// poses build in parallel.
+    fn slot(&self, pose: ReceiverPose) -> Arc<PoseSlot> {
+        self.poses.lock().unwrap_or_else(PoisonError::into_inner).slot(pose)
+    }
+
+    /// A streaming sampler for a receiver at `pose` running `duration_s`,
+    /// over the pose's cached build (made here on first use).
+    pub(crate) fn pose_sampler(
+        &self,
+        pose: ReceiverPose,
+        duration_s: f64,
+        seed: u64,
+    ) -> ChannelSampler<'_> {
+        let build = self.slot(pose).build(&self.channel, pose);
+        self.channel.sampler_from(duration_s, seed, pose, &build)
     }
 
     /// A streaming sampler for this scenario with the given noise seed:
-    /// the staged channel feeding the stateful frontend one sample at a
-    /// time. `scenario.sampler(seed).collect::<Vec<f64>>()` equals
-    /// `scenario.run(seed).samples()`.
+    /// the channel feeding the stateful frontend one sample at a time.
+    /// `scenario.sampler(seed).collect::<Vec<f64>>()` equals
+    /// `scenario.run(seed).samples()`. The static field and kernel tables
+    /// come from the scenario's cache, so only the first sampler pays
+    /// their build.
     pub fn sampler(&self, seed: u64) -> ChannelSampler<'_> {
-        self.channel.sampler_with_field(self.duration_s, seed, self.current_field())
+        self.pose_sampler(self.channel.pose(), self.duration_s, seed)
     }
 
     /// Runs the scenario with the given noise seed and returns the RSS
@@ -2378,17 +2480,15 @@ impl Scenario {
 
     /// Runs the scenario once per seed, fanning the independent runs
     /// across threads with the workspace default [`SweepRunner`]. Results
-    /// are in seed order. The static field is shared across all runs.
+    /// are in seed order. Every run shares the scenario's cached static
+    /// field and kernel tables.
     pub fn run_batch(&self, seeds: &[u64]) -> Vec<Trace> {
         self.run_batch_on(&SweepRunner::new(), seeds)
     }
 
     /// Like [`Scenario::run_batch`] with an explicit runner (thread count).
     pub fn run_batch_on(&self, runner: &SweepRunner, seeds: &[u64]) -> Vec<Trace> {
-        let field = self.current_field();
-        runner.map(seeds, |&seed| {
-            self.channel.sampler_with_field(self.duration_s, seed, field.clone()).into_trace()
-        })
+        runner.map(seeds, |&seed| self.run(seed))
     }
 
     /// The pre-refactor batch path, kept verbatim as the reference the
@@ -2411,8 +2511,10 @@ impl Scenario {
     pub fn run_clean(&self) -> Trace {
         let fs = self.channel.frontend.sample_rate_hz();
         let n = (self.duration_s * fs).ceil() as usize;
-        let field = self.current_field();
-        let mut kernel = field.clone().and_then(|f| self.channel.footprint_kernel(f));
+        let pose = self.channel.pose();
+        let build = self.slot(pose).build(&self.channel, pose);
+        let field = build.field.clone();
+        let mut kernel = build.kernel();
         let mut delta = match kernel {
             Some(_) => None,
             None => field.clone().and_then(|f| self.channel.delta_field(f)),
@@ -2949,7 +3051,7 @@ mod tests {
         for (label, sc) in &scenes {
             let ch = sc.channel();
             let field = Arc::new(ch.static_field().expect("separable"));
-            let kernel = ch.footprint_kernel(field.clone()).expect("kernel");
+            let kernel = ch.kernel_tables(field.clone()).expect("kernel");
             let (g, pose) = (field.grid, field.pose);
             let ok = &kernel.objects[0];
             let profile = ok.profile.as_ref().expect("in reach");
@@ -3210,5 +3312,120 @@ mod tests {
             hi - lo
         };
         assert!(span(&foggy.run_clean()) < span(&clear.run_clean()));
+    }
+
+    fn bits(samples: impl Iterator<Item = f64>) -> Vec<u64> {
+        samples.map(f64::to_bits).collect()
+    }
+
+    fn tables_of(sampler: &ChannelSampler<'_>) -> Arc<KernelTables> {
+        sampler.kernel.as_ref().expect("kernel tier").tables.clone()
+    }
+
+    #[test]
+    fn cached_samplers_match_fresh_builds_byte_for_byte() {
+        let sc = Scenario::indoor_bench(packet("10"), 0.03, 0.20);
+        let z = sc.channel().receiver_z_m;
+        let d = sc.duration_s();
+        for pose in [
+            ReceiverPose::origin(z),
+            ReceiverPose::new(0.03, 0.0, z),
+            ReceiverPose::new(-0.02, 0.01, z),
+        ] {
+            let fresh = bits(sc.channel().sampler_at_pose(d, 4, pose));
+            // The first call builds the entry, the second reuses it.
+            let first = sc.pose_sampler(pose, d, 4);
+            let again = sc.pose_sampler(pose, d, 4);
+            assert!(Arc::ptr_eq(&tables_of(&first), &tables_of(&again)), "{pose:?}: rebuilt");
+            assert_eq!(bits(first), fresh, "{pose:?}: first cached run");
+            assert_eq!(bits(again), fresh, "{pose:?}: repeated cached run");
+        }
+        // The scenario's own entry points ride the origin entry.
+        let origin = bits(sc.channel().sampler(d, 9));
+        assert_eq!(bits(sc.sampler(9)), origin);
+        assert_eq!(bits(sc.run(9).samples().iter().copied()), origin);
+        assert_eq!(bits(sc.run_batch(&[9])[0].samples().iter().copied()), origin);
+        let clean: Vec<f64> = {
+            let ch = sc.channel();
+            let mut k = ch.footprint_kernel(Arc::new(ch.static_field().expect("separable")));
+            let k = k.as_mut().expect("kernel tier");
+            let fs = ch.frontend.sample_rate_hz();
+            (0..(d * fs).ceil() as usize).map(|i| k.illuminance(ch, i as f64 / fs)).collect()
+        };
+        assert_eq!(bits(sc.run_clean().samples().iter().copied()), bits(clean.into_iter()));
+    }
+
+    #[test]
+    fn channel_mut_drops_every_cached_pose_build() {
+        use palc_scene::Fog;
+        let z = 0.20;
+        let offset = ReceiverPose::new(0.03, 0.0, z);
+        let foggy = || Environment::dark_room().with_fog(Fog::with_visibility(0.5));
+        let mut sc = Scenario::indoor_bench(packet("10"), 0.03, z);
+        let d = sc.duration_s();
+        // Warm both entries, then change the scene under them.
+        let before = bits(sc.run(3).samples().iter().copied());
+        let _ = sc.pose_sampler(offset, d, 3).count();
+        sc.channel_mut().environment = foggy();
+        // The reference takes the same gain and the same change before
+        // any run, so nothing it reuses predates the change.
+        let mut fresh = Scenario::indoor_bench(packet("10"), 0.03, z);
+        fresh.channel_mut().environment = foggy();
+        let after = bits(sc.run(3).samples().iter().copied());
+        assert_ne!(after, before, "fog must change the trace, or this test proves nothing");
+        assert_eq!(after, bits(fresh.run(3).samples().iter().copied()));
+        assert_eq!(
+            bits(sc.pose_sampler(offset, d, 3)),
+            bits(fresh.channel().sampler_at_pose(d, 3, offset))
+        );
+    }
+
+    #[test]
+    fn pose_cache_evicts_the_oldest_entry_at_its_bound() {
+        let sc = Scenario::indoor_bench(packet("10"), 0.03, 0.20);
+        let z = sc.channel().receiver_z_m;
+        // The origin entry calibration made is the oldest.
+        let origin = ReceiverPose::origin(z);
+        let poses: Vec<ReceiverPose> =
+            (1..POSE_CACHE_POSES).map(|i| ReceiverPose::new(0.001 * i as f64, 0.0, z)).collect();
+        for &pose in &poses {
+            let _ = sc.pose_sampler(pose, 0.01, 0).count();
+        }
+        let slots = || sc.poses.lock().unwrap_or_else(PoisonError::into_inner).slots.clone();
+        let held = |pose: ReceiverPose| {
+            slots().contains_key(&[pose.x_m.to_bits(), pose.y_m.to_bits(), pose.z_m.to_bits()])
+        };
+        assert_eq!(slots().len(), POSE_CACHE_POSES);
+        assert!(held(origin));
+        // One pose past the bound evicts the origin, and only it.
+        let extra = ReceiverPose::new(0.5, 0.0, z);
+        let _ = sc.pose_sampler(extra, 0.01, 0).count();
+        assert_eq!(slots().len(), POSE_CACHE_POSES);
+        assert!(!held(origin), "oldest entry must go first");
+        assert!(held(extra) && poses.iter().all(|&p| held(p)));
+        // An evicted pose just builds again, with the same result.
+        let d = sc.duration_s();
+        assert_eq!(bits(sc.sampler(5)), bits(sc.channel().sampler_at_pose(d, 5, origin)));
+        assert!(!held(poses[0]), "rebuilding the origin evicts the next oldest");
+    }
+
+    #[test]
+    fn concurrent_runs_at_one_pose_share_one_build() {
+        use std::sync::Barrier;
+        let sc = Scenario::indoor_bench(packet("10"), 0.03, 0.20);
+        let z = sc.channel().receiver_z_m;
+        let pose = ReceiverPose::new(0.03, 0.0, z);
+        let d = sc.shard_duration_for(pose);
+        // Both workers ask for the same, not yet built, entry at once.
+        let barrier = Barrier::new(2);
+        let runs = SweepRunner::with_threads(2).map(&[1u64, 2], |&seed| {
+            barrier.wait();
+            let sampler = sc.pose_sampler(pose, d, seed);
+            (tables_of(&sampler), bits(sampler))
+        });
+        assert!(Arc::ptr_eq(&runs[0].0, &runs[1].0), "one build per pose");
+        for (seed, (_, got)) in [1u64, 2].into_iter().zip(&runs) {
+            assert_eq!(*got, bits(sc.channel().sampler_at_pose(d, seed, pose)), "seed {seed}");
+        }
     }
 }

@@ -39,7 +39,9 @@
 //! * **Fusion routing**: sessions created with a [`GroupId`] have every
 //!   decoded packet forwarded as a [`Detection`] into that group's
 //!   online [`FusionStream`]; [`DecodeServer::poll_fused`] returns the
-//!   fused verdicts.
+//!   fused verdicts. A packet reaches its group before the samples that
+//!   carried it count as decoded, so once `close_and_drain` returns for
+//!   every member, [`DecodeServer::flush_group`] sees all their votes.
 //!
 //! [`Block`]: BackpressurePolicy::Block
 //! [`ShedOldest`]: BackpressurePolicy::ShedOldest
@@ -914,6 +916,8 @@ impl DecodeServer {
 
     /// Flushes a group's open fusion cluster and returns every pending
     /// fused event — call once the member sessions are done feeding.
+    /// After [`DecodeServer::close_and_drain`] has returned for every
+    /// member, the flush includes every packet they decoded.
     pub fn flush_group(&self, group: GroupId) -> Result<Vec<FusedEvent>, SessionError> {
         let g = self.group(group)?;
         let flushed = lock_recover(&g.stream).flush();
@@ -1073,8 +1077,13 @@ impl Inner {
             Ok(events) => {
                 let mut st = lock_recover(&session.state);
                 st.pushed += batch.len() as u64;
-                self.stats.samples_decoded.fetch_add(batch.len() as u64, Ordering::Relaxed);
                 let packets = self.post_events(&session, &mut st, events);
+                // Fuse before the batch's progress is visible: whoever
+                // sees these samples decoded (`samples_decoded`, a
+                // returning `close_and_drain`) finds their packets in the
+                // group already.
+                self.route_group(&session, packets);
+                self.stats.samples_decoded.fetch_add(batch.len() as u64, Ordering::Relaxed);
                 self.resolve_feed_marks(&mut st);
                 // Re-read the status: a close may have landed mid-batch.
                 let finish = st.status.is_draining() && st.ingress.is_empty();
@@ -1094,7 +1103,6 @@ impl Inner {
                         session.cv.notify_all();
                     }
                 }
-                self.route_group(&session, packets);
             }
             Err(payload) => self.quarantine(&session, payload),
         }
@@ -1126,6 +1134,8 @@ impl Inner {
                     .map(|event| TimedEvent { time_s, event })
                     .collect::<Vec<_>>();
                 let packets = self.post_events(session, &mut st, timed);
+                // Fused before the session turns terminal (see `service`).
+                self.route_group(session, packets);
                 self.resolve_feed_marks(&mut st);
                 if let Some(idle_s) = reaped {
                     st.outbox.push_back(SessionEvent::Reaped { idle_s });
@@ -1137,7 +1147,6 @@ impl Inner {
                 self.stats.sessions_closed.fetch_add(1, Ordering::Relaxed);
                 drop(st);
                 session.cv.notify_all();
-                self.route_group(session, packets);
             }
             Err(payload) => self.quarantine(session, payload),
         }
@@ -1199,7 +1208,10 @@ impl Inner {
         }
     }
 
-    /// Pushes a session's decoded packets into its fusion group.
+    /// Pushes a session's decoded packets into its fusion group. Runs
+    /// with the session's state locked; it takes the group locks after
+    /// that one, and nothing takes a session lock while holding a group
+    /// lock.
     fn route_group(&self, session: &Arc<Session>, packets: Vec<(f64, DecodedPacket)>) {
         if packets.is_empty() {
             return;
@@ -1373,24 +1385,57 @@ mod tests {
         assert_eq!(stats.samples_shed, 0);
     }
 
+    /// A decoder whose first sample parks the worker until the test lets
+    /// it go: it reports that it holds the worker on `held`, then waits
+    /// on `release`.
+    struct Gate {
+        inner: StreamingDecoder,
+        held: Option<std::sync::mpsc::Sender<()>>,
+        release: std::sync::mpsc::Receiver<()>,
+    }
+
+    impl PushDecoder for Gate {
+        fn push_sample(&mut self, sample: f64) -> Option<DecodeEvent> {
+            if let Some(held) = self.held.take() {
+                let _ = held.send(());
+                let _ = self.release.recv();
+            }
+            self.inner.push_sample(sample)
+        }
+        fn poll_event(&mut self) -> Option<DecodeEvent> {
+            self.inner.poll_event()
+        }
+        fn finish_stream(&mut self) -> Vec<DecodeEvent> {
+            self.inner.finish_stream()
+        }
+    }
+
     #[test]
     fn shed_oldest_sheds_counts_and_coalesces_overload_markers() {
         let srv = DecodeServer::new(ServerConfig::default().with_workers(1));
         let sc = indoor();
-        let (dec, fs) = streaming(&sc);
+        let (inner, fs) = streaming(&sc);
+        let (held_tx, held) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let gate = Gate { inner, held: Some(held_tx), release: release_rx };
         let id = srv.create_session(
-            dec,
+            gate,
             SessionConfig::new(fs)
                 .with_queue_capacity(32)
                 .with_policy(BackpressurePolicy::ShedOldest),
         );
-        // Hammer far past capacity in one burst; with one worker the
-        // queue cannot drain as fast as we refill it.
-        let mut shed = 0u64;
-        for _ in 0..200 {
+        // The first feed goes to the only worker, which the gate then
+        // holds: every later feed lands on a queue nothing drains.
+        let mut shed = srv.feed_samples(id, &[0.5; 32]).unwrap().shed;
+        held.recv().unwrap();
+        // Hammer far past capacity in one burst: the second feed fills
+        // the queue, and each of the other 198 sheds one queue's worth.
+        for _ in 1..200 {
             shed += srv.feed_samples(id, &[0.5; 32]).unwrap().shed;
         }
+        release.send(()).unwrap();
         assert!(shed > 0, "a 6400-sample burst through a 32-slot queue must shed");
+        assert_eq!(shed, 198 * 32, "exactly the samples no queue slot could hold");
         assert_eq!(srv.shed_samples(id).unwrap(), shed);
         let events = srv.close_and_drain(id).unwrap();
         let overload: u64 = events
@@ -1465,6 +1510,9 @@ mod tests {
                 srv.feed_samples(id, chunk).unwrap();
             }
         }
+        // Two workers decode the sessions in any interleaving; returning
+        // from close_and_drain means every packet of that session has
+        // reached the group, so the flush below sees all three votes.
         for &id in &ids {
             srv.close_and_drain(id).unwrap();
         }

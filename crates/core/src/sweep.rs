@@ -326,13 +326,12 @@ impl Scenario {
     /// [`StreamingDecoder`] sample by sample — fanned across the workspace
     /// default [`SweepRunner`]. No trace is materialised; each receiver
     /// runs in memory bounded by the decoder's history caps, which is what
-    /// makes arbitrarily long runs and live deployments possible. Each
-    /// worker's sampler carries its own
-    /// [`crate::channel::FootprintKernel`] geometry tables (incremental
-    /// [`crate::channel::DeltaField`] where the scene rules the kernel
-    /// out), so long passes cost transcendental-free table lookups per
-    /// tick — the per-receiver state a future multi-receiver sharding
-    /// layer will distribute.
+    /// makes arbitrarily long runs and live deployments possible. Every
+    /// worker's sampler ticks the scenario's cached
+    /// [`crate::channel::FootprintKernel`] geometry tables with its own
+    /// walk state (incremental [`crate::channel::DeltaField`] where the
+    /// scene rules the kernel out), so long passes cost
+    /// transcendental-free table lookups per tick.
     pub fn run_streaming(&self, seeds: &[u64], decoder: &AdaptiveDecoder) -> Vec<StreamOutcome> {
         self.run_streaming_on(&SweepRunner::new(), seeds, decoder)
     }
@@ -389,11 +388,11 @@ impl Scenario {
         self.duration_s() + extra
     }
 
-    /// One receiver shard, serially: a pose-relative sampler (its own
-    /// `StaticField` + `FootprintKernel` tables / `DeltaField` over the
-    /// shared scene objects) piped into `decoder`, packets surfaced to
-    /// `on_detection` the moment they are emitted. This is the exact
-    /// loop every array worker runs.
+    /// One receiver shard, serially: a pose-relative sampler (the pose's
+    /// cached `StaticField` + `FootprintKernel` tables, its own
+    /// `DeltaField` and walk state, over the shared scene objects) piped
+    /// into `decoder`, packets surfaced to `on_detection` the moment they
+    /// are emitted. This is the exact loop every array worker runs.
     fn shard_events<D: PushDecoder>(
         &self,
         receiver: ArrayReceiver,
@@ -403,7 +402,7 @@ impl Scenario {
     ) -> Vec<TimedEvent> {
         let fs = self.channel().frontend.sample_rate_hz();
         let duration = self.shard_duration_for(receiver.pose);
-        let sampler = self.channel().sampler_at_pose(duration, receiver.seed, receiver.pose);
+        let sampler = self.pose_sampler(receiver.pose, duration, receiver.seed);
         // Each shard's impairments are seeded with its private noise
         // seed, so receivers of one array degrade independently.
         let sampler = stack.apply(receiver.seed, sampler);
@@ -434,8 +433,10 @@ impl Scenario {
 
     /// The multi-receiver sharding layer: one scene, its objects shared,
     /// sharded across the workspace default [`SweepRunner`] with one
-    /// worker per receiver pose. Each worker owns its own pose-relative
-    /// `StaticField` + `FootprintKernel` geometry tables and a self-scaling
+    /// worker per receiver pose. Each worker runs over its pose's
+    /// `StaticField` + `FootprintKernel` geometry tables (built on the
+    /// scenario's first run at that pose, reused by every later pass)
+    /// and owns a self-scaling
     /// [`StreamingDecoder`], and every decoded packet is pushed into an
     /// online [`FusionStream`] *as the workers emit it* — the fused
     /// verdicts are available without waiting for slower shards to
@@ -580,8 +581,9 @@ mod tests {
     #[test]
     fn array_shards_pick_up_pose_relative_kernels() {
         // Every worker of a receiver array owns its own pose-relative
-        // FootprintKernel: the exact sampler `shard_events` builds must
-        // ride the kernel tier at offset poses, not just at the origin.
+        // FootprintKernel: the uncached channel sampler and the cached
+        // one `shard_events` takes must both ride the kernel tier at
+        // offset poses, not just at the origin.
         let sc = crate::channel::Scenario::outdoor_car(
             palc_scene::CarModel::volvo_v40(),
             Some(palc_phy::Packet::from_bits("00").unwrap()),
@@ -593,6 +595,11 @@ mod tests {
             let sampler = sc.channel().sampler_at_pose(sc.shard_duration_for(pose), 0, pose);
             assert!(sampler.is_kernel(), "shard at {pose:?} must ride the kernel tier");
             assert_eq!(sampler.pose(), pose);
+            for _ in 0..2 {
+                let cached = sc.pose_sampler(pose, sc.shard_duration_for(pose), 0);
+                assert!(cached.is_kernel(), "cached shard at {pose:?} must ride the kernel tier");
+                assert_eq!(cached.pose(), pose);
+            }
         }
     }
 
